@@ -7,99 +7,37 @@ bodies.
 
 from __future__ import annotations
 
+import itertools
 import pathlib
 import random
-from typing import Dict, Iterator, List, Sequence
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.query.pathexpr import parse_path
 from repro.xmlmodel.export import export_collection
-from repro.xmlmodel.generator import dblp_like, inex_like
+from repro.xmlmodel.generator import dblp_like
 from repro.xmlmodel.model import Collection
 
 #: generator seed of every collection. The collections are a fixed
 #: data set, like a benchmark's published corpus: a run's ``--seed``
-#: varies the requests (query texts, skewed draws, write ops) and the
-#: document order of the build inputs, not the data's shape. Citation
-#: graphs drawn with other seeds differ by 20-30% in closure and
-#: cover size, which would swamp every build and set-up time.
+#: varies the requests (query texts, skewed draws, write ops), not the
+#: data's shape. Citation graphs drawn with other seeds differ by
+#: 20-30% in closure and cover size, which would swamp every set-up time.
 CORPUS_SEED = 2005
-#: served corpus: DBLP-like publications (about 24 elements and 5
-#: citation links per document)
+#: served corpus of the read-hot and write-mixed workloads: DBLP-like
+#: publications (about 24 elements and 5 citation links per document)
 SERVE_DBLP_DOCS = 100
-#: build workload: the same DBLP shape, and deep INEX-like articles
-#: whose bibliography elements cite earlier articles' roots. Small
-#: enough for a round (both builds) to take well under a second, so a
-#: 16-second run has 20 rounds or more.
-BUILD_DBLP_DOCS = 50
-BUILD_INEX_DOCS = 6
-INEX_ELEMENTS_PER_DOC = 380
-INEX_BIB_ELEMENTS = 6
-INEX_MEAN_CITES = 48
+#: served corpus of read-cold. Larger than the others, so that a cold
+#: query's own work weighs against the fixed ~40 ms keep-alive stall
+#: every closed-loop request pays: on a 2-CPU host it is about 23 ms of
+#: the 63 ms median round trip and 36 ms of the 76 ms mean (at 100
+#: documents, over every tag pair, about 4 ms of 48 ms).
+COLD_DBLP_DOCS = 150
+#: weight classes the read-cold pairs are interleaved from
+COLD_STRATA = 4
 
 
 def dblp_collection(n_docs: int) -> Collection:
     return dblp_like(n_docs, seed=CORPUS_SEED)
-
-
-def inex_linked_collection(n_docs: int) -> Collection:
-    """Deep INEX-like trees whose bibliographies cite earlier roots.
-
-    Each document but the first links a few deep bibliography elements
-    to the roots of earlier documents, so cross-partition links fan out
-    to whole documents and the partition covers carry a large share of
-    the build. Built in memory: the XML export keeps only one outgoing
-    link per element, which would drop most of these links.
-    """
-    collection = inex_like(
-        n_docs, seed=CORPUS_SEED, elements_per_doc=INEX_ELEMENTS_PER_DOC
-    )
-    rng = random.Random(CORPUS_SEED)
-    docs = sorted(collection.documents)
-    members: Dict[str, List[int]] = {d: [] for d in docs}
-    for eid in sorted(collection.elements):
-        members[collection.elements[eid].doc].append(eid)
-    for i, doc in enumerate(docs[1:], start=1):
-        elems = members[doc]
-        step = max(len(elems) // (INEX_BIB_ELEMENTS + 1), 1)
-        bib = [
-            elems[min(3 * len(elems) // 4 + k * step // 4, len(elems) - 1)]
-            for k in range(INEX_BIB_ELEMENTS)
-        ]
-        for _ in range(rng.randrange(INEX_MEAN_CITES // 2, 2 * INEX_MEAN_CITES)):
-            target = collection.documents[docs[rng.randrange(0, i)]].root
-            collection.add_link(rng.choice(bib), target)
-    return collection
-
-
-def reorder_documents(collection: Collection, seed: int) -> Collection:
-    """The same documents and links, allocated in a seeded document order.
-
-    Element ids follow allocation order, so the partitioner and every
-    id-ordered structure see a different input while the amount of
-    work (trees, links, closure) stays that of the original.
-    """
-    order = sorted(collection.documents)
-    random.Random(seed).shuffle(order)
-    out = Collection()
-    new_id: Dict[int, int] = {}
-    for doc_id in order:
-        doc = collection.documents[doc_id]
-        root = collection.elements[doc.root]
-        created = out.new_document(doc_id, root.tag)
-        created.text = root.text
-        new_id[doc.root] = created.eid
-        pending = [doc.root]
-        while pending:
-            parent = pending.pop()
-            for child in doc.children[parent]:
-                element = collection.elements[child]
-                created = out.add_child(new_id[parent], element.tag)
-                created.text = element.text
-                new_id[child] = created.eid
-                pending.append(child)
-    for source, target in sorted(collection.all_links()):
-        out.add_link(new_id[source], new_id[target])
-    return out
 
 
 def write_corpus(collection: Collection, out: pathlib.Path) -> None:
@@ -111,48 +49,63 @@ def write_corpus(collection: Collection, out: pathlib.Path) -> None:
 
 _PREDICATES = ["", "", "", "[keywords]", "[//author]", "[citations]",
                "[title]", "[//keyword]"]
+#: the predicates of the read-cold texts, one query after the other
+_COLD_PREDICATES = ["", "[keywords]", "[//author]", "[citations]", "[title]",
+                    "[//keyword]"]
+
+Pair = Tuple[str, str]
 
 
-def query_texts(tags: Sequence[str], seed: int, *,
-                windowed: bool = False) -> Iterator[str]:
-    """An endless stream of distinct canonical query texts.
+def _text(head: str, pred: str, tail: str, rng: random.Random,
+          seen: set) -> str:
+    """The canonical ``//head[pred]//tail limit k`` with a seeded ``k``
+    that makes it new in ``seen``; added to ``seen``. Texts are distinct
+    in their canonical form, which is what the server's result cache
+    keys on."""
+    while True:
+        text = str(parse_path(f"//{head}{pred}//{tail}"
+                              f" limit {rng.randint(1, 50)}"))
+        if text not in seen:
+            seen.add(text)
+            return text
 
-    Grammar: ``//head[pred]//tail limit k`` over the tag vocabulary.
-    The stream walks every head/tail pair once, in a seeded order,
-    before it repeats one. The first walk asks each pair plainly
-    (``//head//tail``, unwindowed), so every run carries the same mix
-    of cheap and expensive pairs and its tail latency does not hinge on
-    which heavy pairs the seed happened to draw; later walks add a
-    seeded predicate and ``limit k`` window. ``windowed`` windows every
-    text. Texts are distinct in their canonical form, which is what the
-    server's result cache keys on.
+
+def cold_texts(pairs: Sequence[Pair], seed: int) -> Iterator[str]:
+    """An endless stream of distinct query texts over ``pairs``.
+
+    The pairs, given heaviest first, are cut into :data:`COLD_STRATA`
+    runs of consecutive pairs, and the stream takes one pair of each in
+    turn, round and round, with the next of :data:`_COLD_PREDICATES`
+    each time; the seed draws the ``limit k`` windows. Every stretch of
+    the stream so has about the same mix of heavy and light pairs and
+    of predicates, and the same share of probes the server's probe
+    cache (an LRU) can answer. With a seeded order, or predicates that
+    changed from one walk over the pairs to the next, that share
+    depended on the order and on how far a run got (23-47% of probes),
+    and a run's throughput with it.
     """
     rng = random.Random(seed)
-    tags = sorted(tags)
-    pairs = [(head, tail) for head in tags for tail in tags]
-    seen = set()
-    walk = 0
-    while True:
-        rng.shuffle(pairs)
-        for head, tail in pairs:
-            while True:
-                if walk == 0 and not windowed:
-                    text = f"//{head}//{tail}"
-                else:
-                    text = (f"//{head}{rng.choice(_PREDICATES)}//{tail}"
-                            f" limit {rng.randint(1, 50)}")
-                text = str(parse_path(text))
-                if text not in seen:
-                    break
-            seen.add(text)
-            yield text
-        walk += 1
+    size = -(-len(pairs) // COLD_STRATA)
+    order = [pairs[start + i] for i in range(size)
+             for start in range(0, len(pairs), size)
+             if start + i < len(pairs)]
+    seen: set = set()
+    for i in itertools.count():
+        head, tail = order[i % len(order)]
+        pred = _COLD_PREDICATES[i % len(_COLD_PREDICATES)]
+        yield _text(head, pred, tail, rng, seen)
 
 
 def hot_queries(tags: Sequence[str], seed: int, n: int = 48) -> List[str]:
-    """The fixed windowed query set of the hot-read mix."""
-    stream = query_texts(tags, seed + 1, windowed=True)
-    return [next(stream) for _ in range(n)]
+    """The fixed windowed query set of the hot-read mix: ``n`` tag pairs
+    in a seeded order, each with a seeded predicate and window."""
+    rng = random.Random(seed + 1)
+    tags = sorted(tags)
+    pairs = [(head, tail) for head in tags for tail in tags]
+    rng.shuffle(pairs)
+    seen: set = set()
+    return [_text(head, rng.choice(_PREDICATES), tail, rng, seen)
+            for head, tail in pairs[:n]]
 
 
 def zipf_weights(n: int, s: float = 1.1) -> List[float]:
@@ -162,12 +115,18 @@ def zipf_weights(n: int, s: float = 1.1) -> List[float]:
 class WriteSchedule:
     """The writer's seeded op sequence for the mixed workload.
 
-    Half the ops insert a DBLP-shaped article citing 1-3 original
-    documents' roots, a quarter add a link from a writer-inserted root
-    to an original root, and a quarter delete a document the writer
-    inserted earlier. Original documents are never deleted (deleting a
-    heavily cited one takes seconds, which is a different workload).
+    Ops come in blocks of four, in a seeded order within each block:
+    two insert a DBLP-shaped article citing 1-3 original documents'
+    roots, one adds a link from a writer-inserted root to an original
+    root, and one deletes a document the writer inserted earlier (an
+    op that has nothing to act on yet becomes an insert). Every run so
+    has the same mix, whose ops differ in cost. Original documents are
+    never deleted (deleting a heavily cited one takes seconds, which is
+    a different workload).
     """
+
+    _BLOCK = ("insert_document", "insert_document", "insert_edge",
+              "delete_document")
 
     def __init__(self, original_roots: Sequence[int], seed: int) -> None:
         self._roots = list(original_roots)
@@ -176,6 +135,7 @@ class WriteSchedule:
         self._live: List[str] = []
         self._count = 0
         self._edges = set()
+        self._block: List[str] = []
         #: element id of each live writer document's root, filled from
         #: the insert acknowledgements
         self.root_of: Dict[str, int] = {}
@@ -183,12 +143,15 @@ class WriteSchedule:
     def next_op(self) -> dict:
         rng = self._rng
         self._count += 1
-        pick = rng.random()
-        if pick < 0.25 and self._live:
+        if not self._block:
+            self._block = list(self._BLOCK)
+            rng.shuffle(self._block)
+        kind = self._block.pop()
+        if kind == "delete_document" and self._live:
             doc = self._live.pop(rng.randrange(len(self._live)))
             self.root_of.pop(doc, None)
             return {"op": "delete_document", "doc_id": doc}
-        if pick < 0.5 and self.root_of:
+        if kind == "insert_edge" and self.root_of:
             source = self.root_of[rng.choice(sorted(self.root_of))]
             target = rng.choice(self._roots)
             if (source, target) not in self._edges:
@@ -215,8 +178,12 @@ class WriteSchedule:
         return {"op": "insert_document", "doc_id": doc,
                 "root_tag": "article", "children": children, "links": links}
 
-    def acknowledged(self, op: dict, reply: dict) -> None:
-        """Learn the root id of an inserted document from its ack."""
-        if op["op"] == "insert_document":
-            report = reply["reports"][0]
-            self.root_of[op["doc_id"]] = report["elements"]["root"]
+    def acknowledged(self, ops: List[dict], reply: dict) -> None:
+        """Learn the root ids of inserted documents from a batch's ack.
+
+        A document deleted later in the same batch stays unknown, so no
+        later edge starts at it.
+        """
+        for op, report in zip(ops, reply["reports"]):
+            if op["op"] == "insert_document" and op["doc_id"] in self._live:
+                self.root_of[op["doc_id"]] = report["elements"]["root"]

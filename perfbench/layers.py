@@ -24,22 +24,13 @@ from tracer import INFO, NAME, PARENT, SID, T0, T1
 
 #: every per-layer metric in the result, with its unit; workloads a
 #: layer does not run in report 0
-PER_LAYER_UNITS: Dict[str, str] = {}
-#: measured and printed, but not in the result, because they read 0 in
-#: every run of the benchmarked workloads: the id-translation and kernel
-#: layers run only on the ``arrays``/``vector`` backends, not on the
-#: default ``sets``, and the INEX-linked collection is built only by the
-#: ``build`` workload, which BENCHMARK.json leaves out (see workloads.py)
-PRINTED_ONLY_UNITS: Dict[str, str] = {
-    "interner.get_calls": "count", "interner.ms": "ms",
-    "kernel.calls": "count", "kernel.ms": "ms"}
-for _collection, _table in (("dblp", PER_LAYER_UNITS),
-                            ("inex_linked", PRINTED_ONLY_UNITS)):
-    for _phase in ("partition_s", "covers_s", "join_s", "persist_s"):
-        _table[f"build.{_collection}.{_phase}"] = "s"
-    _table[f"build.{_collection}.partitions"] = "count"
-    _table[f"build.{_collection}.cross_links"] = "count"
-PER_LAYER_UNITS.update({
+PER_LAYER_UNITS: Dict[str, str] = {
+    "build.dblp.partition_s": "s",
+    "build.dblp.covers_s": "s",
+    "build.dblp.join_s": "s",
+    "build.dblp.persist_s": "s",
+    "build.dblp.partitions": "count",
+    "build.dblp.cross_links": "count",
     "setup.build_s": "s",
     "setup.load_s": "s",
     "setup.warmup_s": "s",
@@ -74,7 +65,7 @@ PER_LAYER_UNITS.update({
     "loadgen.write_late_ms": "ms",
     "trace.overhead_frac": "ratio",
     "trace.coverage_frac": "ratio",
-})
+}
 
 
 def load_spans(path: Path) -> List[tuple]:
@@ -229,11 +220,6 @@ def serving_layers(tree: SpanTree, clients: Sequence[ClientSpan]
     out["probe.ms"] = 1e3 * sum(tree.dur(s) for s in probes) / n_queries
     out["probe.candidates"] = tested / n_queries
     out["probe.true_ratio"] = reached / tested if tested else 0.0
-    for layer, name in (("interner", "interner.get"), ("kernel", "kernel")):
-        spans = [s for s in tree.spans if s[NAME] == name]
-        out[f"{layer}.{'get_calls' if layer == 'interner' else 'calls'}"] = (
-            len(spans) / n_queries)
-        out[f"{layer}.ms"] = 1e3 * sum(tree.dur(s) for s in spans) / n_queries
 
     update_spans = tree.named("write.update")
     out["write.update_ms"] = 1e3 * _mean([tree.dur(s) for s in update_spans])
@@ -279,8 +265,9 @@ def recovery_layers(tree: SpanTree) -> Dict[str, float]:
     }
 
 
-def build_layers(tree: SpanTree, collection: str) -> Dict[str, float]:
-    """Phase means over every build of one collection in ``tree``."""
+def build_layers(tree: SpanTree) -> Dict[str, float]:
+    """Phase means over every build of the DBLP-like corpus in ``tree``."""
+    collection = "dblp"
     totals = [s for s in tree.spans if s[NAME] == "build.total"]
     out: Dict[str, float] = {}
     for phase, name in (("partition_s", "build.partition"),

@@ -14,7 +14,7 @@ answers are compared with.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.query.engine import QueryEngine
 from repro.xmlmodel.model import Collection
@@ -83,7 +83,13 @@ def reach_bitsets(succ: Dict[int, Sequence[int]]) -> Dict[int, int]:
 
 def bits_to_set(bits: int) -> Set[int]:
     """The node ids set in ``bits``."""
-    return {i for i, ch in enumerate(reversed(bin(bits)[2:])) if ch == "1"}
+    digits = bin(bits)[:1:-1]  # lowest bit first, without "0b"
+    out = set()
+    i = digits.find("1")
+    while i >= 0:
+        out.add(i)
+        i = digits.find("1", i + 1)
+    return out
 
 
 def _successors(collection: Collection, reverse: bool) -> Dict[int, List[int]]:
@@ -151,6 +157,32 @@ def query_payload_results(engine: QueryEngine, closure: ClosureIndex, path: str)
     ranked = engine.evaluate(path, index=closure)  # type: ignore[arg-type]
     rows = [[r.target, list(r.bindings), r.score] for r in ranked]
     return rows, len(rows)
+
+
+def answered_pairs(collection: Collection) -> List[Tuple[str, str]]:
+    """The ``(head, tail)`` tag pairs for which ``//head//tail`` has an
+    answer, by the closure, largest answer first.
+
+    The size of an answer is the number of (``head`` element, other
+    ``tail`` element) pairs where the first reaches the second.
+    """
+    closure = ClosureIndex(collection)
+    tags = collection.tags()
+    tag_bits = {}
+    for tag, eids in tags.items():
+        bits = 0
+        for e in eids:
+            bits |= 1 << e
+        tag_bits[tag] = bits
+    sizes = {}
+    for head, eids in tags.items():
+        for e in eids:
+            reached = closure.reach_bits(e) & ~(1 << e)
+            for tail, bits in tag_bits.items():
+                n = (reached & bits).bit_count()
+                if n:
+                    sizes[head, tail] = sizes.get((head, tail), 0) + n
+    return sorted(sizes, key=lambda pair: (-sizes[pair], pair))
 
 
 def check_cover(index, closure: ClosureIndex) -> List[str]:

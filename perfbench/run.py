@@ -5,9 +5,7 @@ Usage (from the repository root)::
     python3 perfbench/run.py --workload read-cold --seed 7 --seconds 16 --trace 0
     python3 perfbench/run.py --workload all --seed 7     # every workload
 
-Workloads: ``read-cold``, ``read-hot`` and ``write-mixed`` (the ones
-BENCHMARK.json lists), and ``build``, which runs here but is left out
-of BENCHMARK.json (see ``workloads.BENCHMARKED``).
+Workloads: ``read-cold``, ``read-hot`` and ``write-mixed``.
 
 ``--trace 0`` measures the end-to-end metrics; ``--trace 1`` runs the
 same inputs with span wrappers installed and reports the per-layer
@@ -40,21 +38,20 @@ sys.path.insert(0, str(ROOT / "src"))
 
 #: every end-to-end metric: (unit, meaning). Every workload reports
 #: every metric, so the operation behind ``op_*`` is the workload's own:
-#: a build round (build), a ``/v1/query`` round trip (read-cold,
-#: read-hot) or a ``/v1/update`` ack timed from its due time
-#: (write-mixed). Failed operations are the result's ``failed`` count.
+#: a ``/v1/query`` round trip (read-cold, read-hot) or a ``/v1/update``
+#: ack timed from its due time (write-mixed). Failed operations are the
+#: result's ``failed`` count.
 #: The operation's tail percentiles and the write-mixed ``recovery_s``
 #: are printed in each run's context, not gated (see workloads.py).
 END_TO_END = {
     "setup_s": ("s", "run start to the first timed operation, median of "
                 "the set-ups of the run"),
-    "cover_entries": ("count", "2-hop label entries |L| of the index(es)"),
-    "index_bytes": ("bytes", "bytes of the persisted database(s)"),
-    "peak_rss_mb": ("MB", "peak RSS of the process doing the timed work: "
-                    "the benchmark (build) or the server (VmHWM)"),
+    "cover_entries": ("count", "2-hop label entries |L| of the served index"),
+    "index_bytes": ("bytes", "bytes of the persisted database"),
+    "peak_rss_mb": ("MB", "peak RSS of the server (VmHWM)"),
     "op_p50_ms": ("ms", "median latency of the workload's operation"),
     "ops_per_s": ("1/s", "operations completed per second (write-mixed: "
-                  "updates and queries)"),
+                  "update ops acknowledged in its closed-loop phase)"),
 }
 
 
@@ -95,10 +92,6 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool,
     print("context: " + json.dumps(context, sort_keys=True, default=str))
     for key, (value, unit) in metrics.items():
         print(f"  {key:36s} {value:16.6f} {unit}")
-    if trace:
-        for key, unit in layers.PRINTED_ONLY_UNITS.items():
-            value = run.layers.get(key, 0.0)
-            print(f"  {key:36s} {value:16.6f} {unit} (not in the result)")
     print(f"  attempted {run.attempted}, failed {run.failed}")
     for message in run.errors:
         print(f"  FAILED: {message}")

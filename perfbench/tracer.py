@@ -1,9 +1,8 @@
 """In-memory span recorder and the wrappers that feed it.
 
 The traced run installs these wrappers around the public functions of
-each layer before the program runs (in the benchmark process for the
-build workload, through :mod:`perfbench.traced` for ``repro build`` and
-``repro serve``). Nothing under ``src/`` is changed: a wrapper records a
+each layer before the program runs, through :mod:`traced` for
+``repro build`` and ``repro serve``. Nothing under ``src/`` is changed: a wrapper records a
 span (name, start, end, parent span, request id, a few counts) and calls
 the original.
 
@@ -278,9 +277,6 @@ def install_serving_wrappers(rec: Recorder) -> None:
            _intersect_info)
     w.span("repro.core.hopi:HopiIndex.descendants", "probe.descendants")
     w.span("repro.core.hopi:HopiIndex.ancestors", "probe.ancestors")
-    w.span("repro.core.interner:NodeInterner.get", "interner.get")
-    for fn in ("intersect", "intersects_any", "membership_flags"):
-        w.span(f"repro.core.kernels:{fn}", "kernel")
     w.span("repro.core.hopi:HopiIndex.cow_copy", "write.cow_copy")
     for op in ("insert_document", "insert_edge", "delete_document"):
         w.span(f"repro.core.hopi:HopiIndex.{op}", f"write.{op}")

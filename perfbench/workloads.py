@@ -1,4 +1,4 @@
-"""The four workloads: build, read-cold, read-hot and write-mixed.
+"""The three workloads: read-cold, read-hot and write-mixed.
 
 Each workload function takes a :class:`Run` and fills in its metrics.
 The load generator is this one process. It uses at most ``nproc``
@@ -12,8 +12,6 @@ import itertools
 import math
 import os
 import random
-import resource
-import shutil
 import signal
 import statistics
 import threading
@@ -24,8 +22,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 import corpus
 import layers
 from layers import ClientSpan, SpanTree
-from oracle import (ClosureIndex, check_cover, oracle_engine,
-                    query_payload_results)
+from oracle import (ClosureIndex, answered_pairs, check_cover,
+                    oracle_engine, query_payload_results)
 from proc import Client, ProgramError, Reply, Server, answer_rows, run_build
 
 #: set-ups per run; ``setup_s`` is their median
@@ -58,6 +56,14 @@ WRITE_RATE = 10.0
 #: checkpoint rewrites the snapshot every this many batches (the
 #: default of ``--checkpoint-interval``)
 CHECKPOINT_INTERVAL = 64
+#: share of the write-mixed window that runs the open loop; the rest is
+#: the closed-loop update phase that measures the write path's capacity
+OPEN_LOOP_SHARE = 0.75
+#: ops per POST in the closed-loop update phase. Enough that applying
+#: them outweighs the fixed per-request cost (the ~40 ms keep-alive
+#: stall of a busy connection), so the op rate moves with the write
+#: path's own work rather than with the round trip.
+CAPACITY_BATCH = 32
 
 
 def percentile(values: List[float], q: float) -> float:
@@ -136,149 +142,32 @@ def _file_bytes(db: Path) -> int:
 
 
 # ---------------------------------------------------------------------------
-# build
-# ---------------------------------------------------------------------------
-
-def _build_round(collections: Dict[str, object], work: Path,
-                 rec=None) -> Dict[str, object]:
-    """Build and persist every collection once; returns the indexes."""
-    from repro.core.hopi import HopiIndex
-    from repro.storage import db as storage_db
-
-    indexes = {}
-    for name, collection in collections.items():
-        db = work / f"{name}.db"
-        for leftover in (db, Path(f"{db}-wal"), Path(f"{db}-shm")):
-            if leftover.exists():
-                leftover.unlink()
-        frame = rec.begin() if rec is not None else None
-        t0 = time.perf_counter()
-        index = HopiIndex.build(collection)
-        storage_db.persist_index(index, str(db)).close()
-        if frame is not None:
-            rec.end(frame, f"round.{name}", t0, time.perf_counter())
-        indexes[name] = index
-    return indexes
-
-
-def build(run: Run) -> None:
-    """Build and persist DBLP-like and INEX-linked collections in-process.
-
-    Every round builds both collections with all defaults
-    (``HopiIndex.build``) and persists them (``persist_index``). Rounds
-    repeat until ``--seconds`` have passed; the round that is running
-    then completes. The set-up generates the collections and runs one
-    untimed round, so lazy imports and first-use costs are paid before
-    timing.
-    """
-    setup_times = []
-    for _ in range(SETUPS):
-        t0 = time.perf_counter()
-        collections = {
-            "dblp": corpus.reorder_documents(
-                corpus.dblp_collection(corpus.BUILD_DBLP_DOCS), run.seed),
-            "inex_linked": corpus.reorder_documents(
-                corpus.inex_linked_collection(corpus.BUILD_INEX_DOCS),
-                run.seed),
-        }
-        _build_round(collections, run.work)
-        setup_times.append(time.perf_counter() - t0)
-    expected_links = {name: c.num_links for name, c in collections.items()}
-
-    rec = None
-    if run.trace:
-        from tracer import Recorder, install_build_wrappers
-
-        rec = Recorder(enabled=False)
-        install_build_wrappers(rec)
-        run.missing_wrappers = rec.missing
-
-    rounds: List[float] = []
-    traced_rounds: List[float] = []
-    t_start = time.perf_counter()
-    while time.perf_counter() - t_start < run.seconds:
-        # the traced run alternates untraced and traced rounds
-        tracing = rec is not None and run.attempted % 2 == 1
-        if rec is not None:
-            rec.enabled = tracing
-        t0 = time.perf_counter()
-        indexes = _build_round(collections, run.work, rec if tracing else None)
-        (traced_rounds if tracing else rounds).append(time.perf_counter() - t0)
-        run.attempted += 1
-    if rec is not None:
-        rec.enabled = False
-
-    # correctness: every cover against the closure, link counts
-    for name, index in indexes.items():
-        collection = collections[name]
-        if index.collection.num_links != expected_links[name]:
-            run.fail(f"{name}: built {index.collection.num_links} links, "
-                     f"generated {expected_links[name]}")
-        for message in check_cover(index, ClosureIndex(collection)):
-            run.fail(f"{name}: {message}")
-
-    all_rounds = rounds + traced_rounds
-    run.metrics.update(
-        setup_s=statistics.median(setup_times),
-        cover_entries=float(sum(i.cover.size for i in indexes.values())),
-        index_bytes=float(sum(_file_bytes(run.work / f"{name}.db")
-                              for name in indexes)),
-        peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-        ops_per_s=len(all_rounds) / sum(all_rounds),
-    )
-    _op_latency(run, [1e3 * r for r in rounds],
-                "one build round (both collections built and persisted)")
-    run.context.update(
-        collections={
-            name: {"documents": c.num_documents, "elements": c.num_elements,
-                   "links": c.num_links,
-                   "cover_entries": indexes[name].cover.size}
-            for name, c in collections.items()},
-    )
-    if rec is not None:
-        tree = SpanTree(rec.spans)
-        for name in collections:
-            sub = SpanTree(_subtree_spans(tree, f"round.{name}"))
-            run.layers.update(layers.build_layers(sub, name))
-        program = [s for s in tree.spans if not s[3].startswith("round.")]
-        covered = sum(SpanTree(program).self_time(s) for s in program)
-        run.layers["trace.coverage_frac"] = covered / sum(traced_rounds)
-        run.layers["trace.overhead_frac"] = (
-            statistics.median(traced_rounds) / statistics.median(rounds) - 1.0)
-
-
-def _subtree_spans(tree: SpanTree, root_name: str) -> List[tuple]:
-    out = []
-    stack = [s for s in tree.spans if s[3] == root_name]
-    while stack:
-        span = stack.pop()
-        out.append(span)
-        stack.extend(tree.children[span[0]])
-    return out
-
-
-# ---------------------------------------------------------------------------
 # serving set-up
 # ---------------------------------------------------------------------------
 
 class Served:
-    """The corpus, index and server a serving workload runs against."""
+    """The corpus, index and server a serving workload runs against.
+
+    ``index`` is the built index as the benchmark loads it from the
+    database, outside every timed section: the state the server starts
+    from, which the oracles and the write-mixed replay begin with.
+    """
 
     def __init__(self, server: Server, db: Path, tags: List[str],
-                 store: Optional[Path], roots: List[int]) -> None:
+                 store: Optional[Path]) -> None:
         self.server = server
         self.db = db
         self.tags = tags
         self.store = store
-        self.roots = roots
+        self.index = None
 
 
-def _one_setup(run: Run, i: int, store: bool,
+def _one_setup(run: Run, i: int, n_docs: int, store: bool,
                warm: Optional[List[str]]) -> Tuple[Served, Dict[str, float]]:
     """One set-up from scratch; returns the server and its timings."""
     t0 = time.perf_counter()
     base = run.work / f"setup{i}"
-    collection = corpus.dblp_collection(corpus.SERVE_DBLP_DOCS)
+    collection = corpus.dblp_collection(n_docs)
     corpus.write_corpus(collection, base / "corpus")
     db = base / "index.db"
     trace_out = base / "build.spans" if run.trace else None
@@ -292,18 +181,16 @@ def _one_setup(run: Run, i: int, store: bool,
     index_bytes = _file_bytes(db)
     if trace_out is not None:
         run.layers.update(layers.build_layers(
-            SpanTree(layers.load_spans(trace_out)), "dblp"))
-    roots: List[int] = []
+            SpanTree(layers.load_spans(trace_out))))
     args = [str(db)]
     store_dir = None
     if store:
-        roots = sorted(d.root for d in _db_collection(db).documents.values())
         store_dir = base / "store"
         args += ["--store", str(store_dir)]
     server = Server(args, base / "serve.log",
                     base / "serve.spans" if run.trace else None,
                     trace_mode="off")
-    served = Served(server, db, sorted(collection.tags()), store_dir, roots)
+    served = Served(server, db, sorted(collection.tags()), store_dir)
     w0 = time.perf_counter()
     if warm:
         client = Client(server.host, server.port)
@@ -317,13 +204,16 @@ def _one_setup(run: Run, i: int, store: bool,
                     "index_bytes": index_bytes}
 
 
-def serve_setup(run: Run, *, store: bool = False,
+def serve_setup(run: Run, n_docs: int, *, store: bool = False,
                 warm: Optional[List[str]] = None) -> Served:
     """Generate the corpus, ``repro build`` it and ``repro serve`` it.
 
     Repeated :data:`SETUPS` times from scratch; ``setup_s`` is the
-    median and the last server is the one measured.
+    median and the last server is the one measured. Then, untimed, the
+    built index is loaded and its cover checked against the closure.
     """
+    from repro.storage import load_index
+
     timings: List[Dict[str, float]] = []
     served = None
     try:
@@ -331,13 +221,18 @@ def serve_setup(run: Run, *, store: bool = False,
             if served is not None:
                 served.server.stop()
                 served = None
-            served, times = _one_setup(run, i, store, warm)
+            served, times = _one_setup(run, i, n_docs, store, warm)
             timings.append(times)
         stats = _stats(served.server)
+        served.index = load_index(str(served.db))
     except BaseException:
         if served is not None:
             served.server.stop()
         raise
+    run.attempted += 1
+    for message in check_cover(served.index,
+                               ClosureIndex(served.index.collection)):
+        run.fail(f"built cover: {message}")
 
     def median(key: str) -> float:
         return statistics.median(t[key] for t in timings)
@@ -365,15 +260,18 @@ def serve_setup(run: Run, *, store: bool = False,
 # ---------------------------------------------------------------------------
 
 class Window:
-    """The timed window. In a traced run its first half runs untraced;
-    at half time the server starts recording (``SIGUSR2``)."""
+    """The timed window (``seconds``, by default the run's). In a traced
+    run its first half runs untraced; at half time the server starts
+    recording (``SIGUSR2``)."""
 
-    def __init__(self, run: Run, server: Server) -> None:
+    def __init__(self, run: Run, server: Server,
+                 seconds: Optional[float] = None) -> None:
+        seconds = run.seconds if seconds is None else seconds
         self.run = run
         self.server = server
         self.start = time.perf_counter()
-        self.end = self.start + run.seconds
-        self.half = self.start + run.seconds / 2
+        self.end = self.start + seconds
+        self.half = self.start + seconds / 2
         self.traced_from: Optional[float] = None
         self._lock = threading.Lock()
 
@@ -453,8 +351,7 @@ def _query_metrics(run: Run, replies: List[Tuple[str, Reply]],
 
 
 def _crash_and_recover(run: Run, served: Served, before: Dict[str, dict],
-                       epoch: int, trace_out: Optional[Path],
-                       after_first_kill: Callable[[], None]) -> None:
+                       epoch: int, trace_out: Optional[Path]) -> None:
     """SIGKILL the server and restart it on its store, RESTARTS times.
 
     Each restart must be ready at ``epoch``; ``recovery_s`` (context) is
@@ -467,8 +364,6 @@ def _crash_and_recover(run: Run, served: Served, before: Dict[str, dict],
     times = []
     for cycle in range(RESTARTS):
         served.server.kill()
-        if cycle == 0:
-            after_first_kill()
         traced = trace_out if cycle == 0 else None
         served.server = Server(args, run.work / f"restart{cycle}.log", traced,
                                trace_mode="on")
@@ -521,30 +416,28 @@ def _oracle_check(run: Run, collection,
             run.fail(f"{text!r}: answer disagrees with the closure oracle")
 
 
-def _db_collection(db: Path):
-    from repro.storage.db import SQLiteCoverStore
-
-    with SQLiteCoverStore(str(db)) as store:
-        return store.load_collection()
-
-
 # ---------------------------------------------------------------------------
 # read-cold
 # ---------------------------------------------------------------------------
 
 def read_cold(run: Run) -> None:
-    """One closed-loop connection; every query text is new in the run."""
-    served = serve_setup(run)
+    """One closed-loop connection; every query text is new in the run.
+
+    The texts are drawn over the head/tail tag pairs that have answers,
+    so every query does the work of ranking and encoding real results.
+    """
+    pairs = answered_pairs(corpus.dblp_collection(corpus.COLD_DBLP_DOCS))
+    served = serve_setup(run, corpus.COLD_DBLP_DOCS)
     try:
         client = run.client(served.server)
-        stream = corpus.query_texts(served.tags, run.seed)
+        stream = corpus.cold_texts(pairs, run.seed)
         window = Window(run, served.server)
         replies: List[Tuple[str, Reply]] = []
         _closed_loop(window, client, lambda: next(stream), replies)
         window_s = time.perf_counter() - window.start
         run.note_threads()
         client.close()
-        run.attempted = len(replies)
+        run.attempted += len(replies)
         if run.trace:
             _traced_layers(run, served, window,
                            [("query", t, r) for t, r in replies])
@@ -556,7 +449,7 @@ def read_cold(run: Run) -> None:
         if cached:
             run.invalid.append(f"read-cold saw {cached} cached answers")
         _query_metrics(run, replies, window_s)
-        _check_replies(run, _db_collection(served.db), replies)
+        _check_replies(run, served.index.collection, replies)
         run.metrics["peak_rss_mb"] = served.server.peak_rss_mb()
     finally:
         served.server.stop()
@@ -585,7 +478,7 @@ def read_hot(run: Run) -> None:
     queries, all cached by the warm-up pass of the set-up."""
     tags = sorted(corpus.dblp_collection(corpus.SERVE_DBLP_DOCS).tags())
     hot = corpus.hot_queries(tags, run.seed)
-    served = serve_setup(run, warm=hot)
+    served = serve_setup(run, corpus.SERVE_DBLP_DOCS, warm=hot)
     try:
         n_conn = min(2, run.nproc)
         clients = [run.client(served.server) for _ in range(n_conn)]
@@ -608,7 +501,7 @@ def read_hot(run: Run) -> None:
         for c in clients:
             c.close()
         replies = [x for sink in sinks for x in sink]
-        run.attempted = len(replies)
+        run.attempted += len(replies)
         if run.trace:
             _traced_layers(run, served, window,
                            [("query", t, r) for t, r in replies])
@@ -621,7 +514,7 @@ def read_hot(run: Run) -> None:
         if ratio < 0.99:
             run.invalid.append(f"read-hot hit ratio {ratio:.4f} < 0.99")
         _query_metrics(run, replies, window_s)
-        _check_replies(run, _db_collection(served.db), replies)
+        _check_replies(run, served.index.collection, replies)
         run.metrics["peak_rss_mb"] = served.server.peak_rss_mb()
     finally:
         served.server.stop()
@@ -631,16 +524,63 @@ def read_hot(run: Run) -> None:
 # write-mixed
 # ---------------------------------------------------------------------------
 
-def write_mixed(run: Run) -> None:
-    """An open-loop writer and an open-loop reader, then a crash.
+def _replay_checks(run: Run, index, batches: List[Tuple[List[dict], dict]],
+                   reads: List[Tuple[str, Reply]]) -> None:
+    """Check every read against the oracle at the epoch it reports.
 
-    The writer POSTs one op per request at :data:`WRITE_RATE`; each ack
-    is timed from when the op was due. The reader sends a query at the
-    same rate, half a period after each write. After the window the
-    server is killed with SIGKILL and restarted on its store: it must
-    come back at the last acknowledged epoch with the same answers.
+    The acknowledged batches are applied in epoch order to the built
+    index in-process (``apply_update_op``, as the server and its WAL
+    replay do); each read is compared with the closure oracle over the
+    collection as it was at that read's epoch. A read at an epoch that
+    no acknowledged batch produced fails. Every batch is applied in the
+    end, so ``index`` holds the last acknowledged state.
     """
-    served = serve_setup(run, store=True)
+    from repro.core.ops import apply_update_op
+
+    batches = sorted(batches, key=lambda b: b[1]["epoch"])
+    pending = sorted((r.body["epoch"], text, r.body)
+                     for text, r in reads if r.ok)
+    applied_epoch = 0
+    i = 0
+    engine_epoch, engine, closure = None, None, None
+    for epoch, text, body in pending + [(math.inf, None, None)]:
+        while i < len(batches) and batches[i][1]["epoch"] <= epoch:
+            ops, ack = batches[i]
+            for op, acked in zip(ops, ack["reports"]):
+                report = apply_update_op(index, op)
+                if report.get("elements") != acked.get("elements"):
+                    run.fail(f"replaying {op['op']} {op.get('doc_id')} gave "
+                             "other element ids than the server acknowledged")
+            applied_epoch = ack["epoch"]
+            i += 1
+        if text is None:
+            break
+        if epoch != applied_epoch:
+            run.fail(f"read {text!r} answered at epoch {epoch}, which no "
+                     "acknowledged update produced")
+            continue
+        if engine_epoch != epoch:
+            engine, closure = oracle_engine(index.collection)
+            engine_epoch = epoch
+        if answer_rows(body) != query_payload_results(engine, closure, text):
+            run.fail(f"read {text!r} at epoch {epoch} disagrees with the "
+                     "closure oracle")
+
+
+def write_mixed(run: Run) -> None:
+    """Open-loop writes and reads, a closed-loop update phase, a crash.
+
+    For the first :data:`OPEN_LOOP_SHARE` of the window the writer POSTs
+    one op per request at :data:`WRITE_RATE`, each ack timed from when
+    the op was due (``op_p50_ms``), and the reader sends a query at the
+    same rate, half a period after each write. For the rest of the
+    window the writer sends :data:`CAPACITY_BATCH` ops per POST in a
+    closed loop; ``ops_per_s`` is the ops it got acknowledged per second
+    then, the write path's capacity. After the window the server is
+    killed with SIGKILL and restarted on its store: it must come back at
+    the last acknowledged epoch with the same answers.
+    """
+    served = serve_setup(run, corpus.SERVE_DBLP_DOCS, store=True)
     tags = served.tags
     # the reader cycles through a fixed windowed query set in a seeded
     # order. Update acks wait for a read in flight (the interpreter lock
@@ -650,22 +590,38 @@ def write_mixed(run: Run) -> None:
     # drawn from the seed keep that share fixed. Every publish empties
     # the result cache, so the reads miss it.
     hot = corpus.hot_queries(tags, corpus.CORPUS_SEED)
-    schedule = corpus.WriteSchedule(served.roots, run.seed)
+    roots = sorted(d.root for d in served.index.collection.documents.values())
+    schedule = corpus.WriteSchedule(roots, run.seed)
     try:
         writer = run.client(served.server)
         reader = run.client(served.server)
-        window = Window(run, served.server)
+        window = Window(run, served.server, run.seconds * OPEN_LOOP_SHARE)
         reads: List[Tuple[str, Reply]] = []
         read_due: List[float] = []
-        n_ops = int(WRITE_RATE * run.seconds)
         period = 1.0 / WRITE_RATE
+        n_ops = int(WRITE_RATE * (window.end - window.start))
         reader_thread = threading.Thread(target=_paced_loop, args=(
             window, reader, _cycle_picker(hot, run.seed * 31), period,
             period / 2, reads, read_due))
         reader_thread.start()
         run.note_threads()
         acked_latency, late, writes = [], [], []
-        last_epoch = 0
+        by_kind: Dict[str, List[float]] = {}
+        capacity_batches = 0
+        batches: List[Tuple[List[dict], dict]] = []
+
+        def post(ops: List[dict]) -> Reply:
+            reply = writer.request("POST", "/v1/update", {"ops": ops})
+            run.attempted += len(ops)
+            if reply.ok:
+                schedule.acknowledged(ops, reply.body)
+                batches.append((ops, reply.body))
+            else:
+                for op in ops:
+                    run.fail(f"update {op['op']}: HTTP {reply.status} "
+                             f"{reply.body}")
+            return reply
+
         for i in range(n_ops):
             due = window.start + i * period
             pause = due - time.perf_counter()
@@ -673,20 +629,15 @@ def write_mixed(run: Run) -> None:
                 time.sleep(pause)
             window.poll_trace()
             op = schedule.next_op()
-            reply = writer.update(op)
+            reply = post([op])
             late.append(reply.t_send - due)
             writes.append(("update", op["op"], reply))
-            if not reply.ok:
-                run.fail(f"update {op['op']}: HTTP {reply.status} {reply.body}")
-                continue
-            schedule.acknowledged(op, reply.body)
-            last_epoch = max(last_epoch, reply.body["epoch"])
-            acked_latency.append(1e3 * (reply.t_done - due))
+            if reply.ok:
+                acked_latency.append(1e3 * (reply.t_done - due))
+                by_kind.setdefault(op["op"], []).append(acked_latency[-1])
         reader_thread.join()
-        window_s = time.perf_counter() - window.start
-        writer.close()
         reader.close()
-        run.attempted = n_ops + len(reads)
+        run.attempted += len(reads)
         for text, reply in reads:
             if not reply.ok:
                 run.fail(f"read {text!r}: HTTP {reply.status} {reply.body}")
@@ -697,18 +648,37 @@ def write_mixed(run: Run) -> None:
                 f"writer ran {mean_late:.1f} ms late on average, more than "
                 f"its {1e3 * period:.1f} ms period")
         if run.trace:
+            # the spans of the open-loop phase only: single-op updates
             _traced_layers(run, served, window,
                            writes + [("query", t, r) for t, r in reads])
         if not acked_latency:
             raise ProgramError("no update was acknowledged")
         _op_latency(run, acked_latency,
                     "update ack, timed from when it was due")
-        run.metrics["ops_per_s"] = (
-            len(acked_latency) + sum(1 for _, r in reads if r.ok)) / window_s
+
+        # the closed-loop update phase, until the run's window ends
+        capacity_start = time.perf_counter()
+        capacity_end = window.start + run.seconds
+        capacity_ops = 0
+        while True:
+            reply = post([schedule.next_op() for _ in range(CAPACITY_BATCH)])
+            capacity_batches += 1
+            if reply.ok:
+                capacity_ops += CAPACITY_BATCH
+            if reply.t_done >= capacity_end:
+                break
+        run.metrics["ops_per_s"] = capacity_ops / (
+            reply.t_done - capacity_start)
+        writer.close()
+        last_epoch = max(ack["epoch"] for _, ack in batches)
         read_lat = [1e3 * (r.t_done - due)
                     for (_, r), due in zip(reads, read_due) if r.ok]
         run.context.update(
             write_rate_per_s=WRITE_RATE,
+            update_p50_ms_by_op={kind: [len(lat), round(statistics.median(lat), 4)]
+                                 for kind, lat in sorted(by_kind.items())},
+            capacity_batch_ops=CAPACITY_BATCH,
+            capacity_batches=capacity_batches,
             read_p50_ms=statistics.median(read_lat) if read_lat else None,
             reads=len(reads),
             flush_policy=(
@@ -731,40 +701,25 @@ def write_mixed(run: Run) -> None:
             else:
                 run.fail(f"pre-kill read {text!r}: HTTP {reply.status}")
         client.close()
-        # the oracle's collection is recovered from a copy of the store
-        # as the crash left it, before any restart touches it
-        snapshot = run.work / "store-at-kill"
         _crash_and_recover(
             run, served, before, last_epoch,
-            run.work / "restart.spans" if run.trace else None,
-            lambda: shutil.copytree(served.store, snapshot))
-        from repro.storage.wal import DurableIndexStore
-
-        recovered = DurableIndexStore(str(snapshot)).recover()
-        _oracle_check(run, recovered.collection, sorted(before.items()))
+            run.work / "restart.spans" if run.trace else None)
+        # every read, and the pre-kill answers at the last epoch, against
+        # the oracle over the acknowledged op sequence replayed in-process
+        _replay_checks(run, served.index, batches, reads)
+        _oracle_check(run, served.index.collection, sorted(before.items()))
     finally:
         served.server.stop()
 
 
-#: the workloads BENCHMARK.json lists. ``build`` runs from the command
-#: line but is left out: on a shared 2-CPU host the median time of its
-#: in-process build rounds moved by 10-35% (quartile spread over median
-#: of ten runs) from one set of runs to the next, with the host's speed,
-#: against a 25% regression bound. Its layers (partition, covers, join,
-#: persist) are still traced in every serving run's ``repro build``.
-BENCHMARKED = ("read-cold", "read-hot", "write-mixed")
-
 WORKLOADS: Dict[str, Tuple[Callable[[Run], None], str]] = {
-    "build": (build, "the only workload where partitioning, partition "
-              "covers, join and persist do the work; DBLP is partition-"
-              "bound, INEX-linked cover-bound; no serving layer runs"),
-    "read-cold": (read_cold, "every query text is new, so parse/plan, exec, "
-                  "probes and ranking do the work and the result cache and "
-                  "write path do none"),
+    "read-cold": (read_cold, "every query text is new and has answers, so "
+                  "parse/plan, exec, probes and ranking do the work and the "
+                  "result cache and write path do none"),
     "read-hot": (read_hot, "a warm Zipf-skewed set of cached queries, so the "
                  "HTTP front end, API encoding and result-cache hits do the "
                  "work and the exec stack does none"),
-    "write-mixed": (write_mixed, "open-loop updates and reads on the "
-                    "durable store: maintenance, COW forks, WAL, "
-                    "checkpoints and recovery, and the reads they invalidate"),
+    "write-mixed": (write_mixed, "open-loop single-op updates and reads, then "
+                    "closed-loop update batches, on the durable store: "
+                    "maintenance, COW forks, WAL, checkpoints and recovery"),
 }
