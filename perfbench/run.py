@@ -38,18 +38,20 @@ sys.path.insert(0, str(ROOT / "src"))
 
 #: every end-to-end metric: (unit, meaning). Every workload reports
 #: every metric, so the operation behind ``op_*`` is the workload's own:
-#: a ``/v1/query`` round trip (read-cold, read-hot) or a ``/v1/update``
-#: ack timed from its due time (write-mixed). Failed operations are the
-#: result's ``failed`` count.
-#: The operation's tail percentiles and the write-mixed ``recovery_s``
-#: are printed in each run's context, not gated (see workloads.py).
+#: a ``/v1/query`` round trip (read-cold, read-hot) or the ack of a
+#: batch ``/v1/update`` in write-mixed's closed-loop phase. Failed
+#: operations are the result's ``failed`` count.
+#: The operation's tail percentiles, write-mixed's open-loop ack
+#: latencies and its ``recovery_s`` are printed in each run's context,
+#: not gated (see workloads.py).
 END_TO_END = {
     "setup_s": ("s", "run start to the first timed operation, median of "
                 "the set-ups of the run"),
     "cover_entries": ("count", "2-hop label entries |L| of the served index"),
     "index_bytes": ("bytes", "bytes of the persisted database"),
     "peak_rss_mb": ("MB", "peak RSS of the server (VmHWM)"),
-    "op_p50_ms": ("ms", "median latency of the workload's operation"),
+    "op_p50_ms": ("ms", "median latency of the workload's operation "
+                  "(write-mixed: a 32-op update in its closed-loop phase)"),
     "ops_per_s": ("1/s", "operations completed per second (write-mixed: "
                   "update ops acknowledged in its closed-loop phase)"),
 }

@@ -38,11 +38,11 @@ SETUPS = 3
 RESTARTS = 3
 #: tail quantiles printed with each run (``op_tail_ms`` in the
 #: context) and not reported as end-to-end metrics. On a shared 2-CPU
-#: host the update-ack tail of the mixed workload moved by 25-75%
-#: (quartile spread over median) between runs of the same code, more
-#: than any bound a regression gate can use: its checkpoints stall the
-#: writer for a few hundred milliseconds and the backlog drains over
-#: the next 4-9 acks, so the upper percentiles sit in that cascade.
+#: host the update-ack tail of the mixed workload's open loop moved by
+#: 25-75% (quartile spread over median) between runs of the same code,
+#: more than any bound a regression gate can use: its checkpoints stall
+#: the writer for a few hundred milliseconds and the backlog drains
+#: over the next 4-9 acks, so the upper percentiles sit in that cascade.
 TAIL_QUANTILES = (0.8, 0.9, 0.95, 0.99)
 #: the mixed workload's open-loop writer, in update POSTs per second.
 #: At this rate the writer's connection idles between acks long enough
@@ -57,8 +57,15 @@ WRITE_RATE = 10.0
 #: default of ``--checkpoint-interval``)
 CHECKPOINT_INTERVAL = 64
 #: share of the write-mixed window that runs the open loop; the rest is
-#: the closed-loop update phase that measures the write path's capacity
-OPEN_LOOP_SHARE = 0.75
+#: the closed-loop update phase that measures the write path's latency
+#: and capacity. The open loop's single-op ack median (about 6 ms) is
+#: printed, not gated: on a shared 2-CPU host it moved with the host's
+#: load from minute to minute. Sets of runs of the same code spread by
+#: 6% to 32% of it (quartile spread over median); reads and acks of the
+#: same runs slowed together, and reruns of the slowest seeds came out
+#: mid-pack, so the inputs were not the cause. The closed-loop acks,
+#: mostly the program's own work, spread by 5-10% in the same hours.
+OPEN_LOOP_SHARE = 0.6
 #: ops per POST in the closed-loop update phase. Enough that applying
 #: them outweighs the fixed per-request cost (the ~40 ms keep-alive
 #: stall of a busy connection), so the op rate moves with the write
@@ -72,14 +79,17 @@ def percentile(values: List[float], q: float) -> float:
     return ordered[max(math.ceil(q * len(ordered)), 1) - 1]
 
 
+def _tail(lat_ms: List[float]) -> Dict[str, float]:
+    return {f"p{round(100 * q)}": round(percentile(lat_ms, q), 4)
+            for q in TAIL_QUANTILES}
+
+
 def _op_latency(run: "Run", lat_ms: List[float], op: str) -> None:
     """``op_p50_ms``, and the op's tail and sample count as context."""
     run.metrics["op_p50_ms"] = statistics.median(lat_ms)
     run.context["op"] = op
     run.context["op_samples"] = len(lat_ms)
-    run.context["op_tail_ms"] = {
-        f"p{round(100 * q)}": round(percentile(lat_ms, q), 4)
-        for q in TAIL_QUANTILES}
+    run.context["op_tail_ms"] = _tail(lat_ms)
 
 
 class Run:
@@ -357,7 +367,9 @@ def _crash_and_recover(run: Run, served: Served, before: Dict[str, dict],
     Each restart must be ready at ``epoch``; ``recovery_s`` (context) is
     the shortest time from spawning one until it listens. The last one must
     answer every query in ``before`` exactly as the server did before
-    the first kill. In a traced run the first restart is traced.
+    the first kill. In a traced run the first restart is traced. A
+    restart that exits before listening (its recovery failed) is a
+    failure, and ends the cycles.
     """
     run.metrics["peak_rss_mb"] = served.server.peak_rss_mb()
     args = [str(served.db), "--store", str(served.store)]
@@ -365,10 +377,16 @@ def _crash_and_recover(run: Run, served: Served, before: Dict[str, dict],
     for cycle in range(RESTARTS):
         served.server.kill()
         traced = trace_out if cycle == 0 else None
-        served.server = Server(args, run.work / f"restart{cycle}.log", traced,
-                               trace_mode="on")
-        times.append(served.server.start_s)
+        log = run.work / f"restart{cycle}.log"
         run.attempted += 1
+        try:
+            served.server = Server(args, log, traced, trace_mode="on")
+        except ProgramError:
+            lines = log.read_text().strip().splitlines() or ["(no output)"]
+            run.fail(f"restart {cycle} on the store did not come up: "
+                     f"{lines[-1]}")
+            return
+        times.append(served.server.start_s)
         got = _stats(served.server)["epoch"]
         if got != epoch:
             run.fail(f"restarted at epoch {got}, last acknowledged epoch "
@@ -572,13 +590,14 @@ def write_mixed(run: Run) -> None:
 
     For the first :data:`OPEN_LOOP_SHARE` of the window the writer POSTs
     one op per request at :data:`WRITE_RATE`, each ack timed from when
-    the op was due (``op_p50_ms``), and the reader sends a query at the
-    same rate, half a period after each write. For the rest of the
-    window the writer sends :data:`CAPACITY_BATCH` ops per POST in a
-    closed loop; ``ops_per_s`` is the ops it got acknowledged per second
-    then, the write path's capacity. After the window the server is
-    killed with SIGKILL and restarted on its store: it must come back at
-    the last acknowledged epoch with the same answers.
+    the op was due (printed as ``open_loop_ack_ms``), and the reader
+    sends a query at the same rate, half a period after each write. For
+    the rest of the window the writer sends :data:`CAPACITY_BATCH` ops
+    per POST in a closed loop: ``op_p50_ms`` is the median ack of those
+    POSTs, timed from the send, and ``ops_per_s`` the ops acknowledged
+    per second, the write path's capacity. After the window the server
+    is killed with SIGKILL and restarted on its store: it must come back
+    at the last acknowledged epoch with the same answers.
     """
     served = serve_setup(run, corpus.SERVE_DBLP_DOCS, store=True)
     tags = served.tags
@@ -652,22 +671,25 @@ def write_mixed(run: Run) -> None:
             _traced_layers(run, served, window,
                            writes + [("query", t, r) for t, r in reads])
         if not acked_latency:
-            raise ProgramError("no update was acknowledged")
-        _op_latency(run, acked_latency,
-                    "update ack, timed from when it was due")
+            raise ProgramError("no open-loop update was acknowledged")
 
         # the closed-loop update phase, until the run's window ends
         capacity_start = time.perf_counter()
         capacity_end = window.start + run.seconds
-        capacity_ops = 0
+        capacity_latency = []
         while True:
             reply = post([schedule.next_op() for _ in range(CAPACITY_BATCH)])
             capacity_batches += 1
             if reply.ok:
-                capacity_ops += CAPACITY_BATCH
+                capacity_latency.append(1e3 * (reply.t_done - reply.t_send))
             if reply.t_done >= capacity_end:
                 break
-        run.metrics["ops_per_s"] = capacity_ops / (
+        if not capacity_latency:
+            raise ProgramError("no closed-loop update was acknowledged")
+        _op_latency(run, capacity_latency,
+                    f"ack of a {CAPACITY_BATCH}-op update in the closed "
+                    "loop, timed from the send")
+        run.metrics["ops_per_s"] = CAPACITY_BATCH * len(capacity_latency) / (
             reply.t_done - capacity_start)
         writer.close()
         last_epoch = max(ack["epoch"] for _, ack in batches)
@@ -675,6 +697,9 @@ def write_mixed(run: Run) -> None:
                     for (_, r), due in zip(reads, read_due) if r.ok]
         run.context.update(
             write_rate_per_s=WRITE_RATE,
+            open_loop_ack_ms={"samples": len(acked_latency),
+                              "p50": round(statistics.median(acked_latency), 4),
+                              **_tail(acked_latency)},
             update_p50_ms_by_op={kind: [len(lat), round(statistics.median(lat), 4)]
                                  for kind, lat in sorted(by_kind.items())},
             capacity_batch_ops=CAPACITY_BATCH,
